@@ -7,14 +7,27 @@
 //! `s(M, b)` for realised batch size `b`. Autoscaling gives every batch its
 //! own function instance, so batches never queue behind each other.
 //! A request's latency is `dispatch − arrival + cold_start? + s(M, b)`.
+//!
+//! Simulation runs in two passes. [`form_batches`] scans the arrivals once,
+//! with no event queue, and returns each batch's request range and dispatch
+//! time: windows depend only on the arrivals and `(B, T)`. The execution
+//! pass then prices a formation at one memory size (service time and cost
+//! per realised size, completions, cost folded in dispatch order).
+//! [`simulate_batching`] is the two in sequence; [`crate::sweep()`] forms
+//! once per `(B, T)` and executes that formation at every memory size.
+//!
+//! Tie rule: an arrival at exactly `open + T` joins the window that closes
+//! at that instant, as in the online `BatcherCore`, which handles an
+//! arrival before a timer due at the same time.
 
-use crate::config::LambdaConfig;
-use crate::engine::{run, Scheduler};
+use crate::config::{validate_batching, LambdaConfig};
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
 use crate::service::ServiceProfile;
-use dbat_workload::Rng;
+use dbat_telemetry::{Counter, Gauge, Histogram};
+use dbat_workload::{DbatError, Rng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Optional cold-start model (an extension over the paper, default off):
 /// each invocation independently pays `delay_s` with `probability`.
@@ -115,26 +128,123 @@ impl SimOutcome {
     }
 }
 
-enum Event {
-    Arrival(usize),
-    /// Buffer timeout for the window opened in the given epoch.
-    Timeout(u64),
+/// One batch formed by the buffer: requests `start..end` of the arrival
+/// slice, dispatched together.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BatchSpan {
+    pub start: usize,
+    pub end: usize,
+    /// Dispatch time on the rebased clock (`arrival − Formation::t0`).
+    pub dispatch: f64,
+    /// Flushed by the window timer rather than by the B-th arrival.
+    pub timed_out: bool,
 }
 
-/// Telemetry handles resolved once per simulation run, so the hot event
+/// The batches a `(B, T)` buffer forms over one arrival sequence. Memory
+/// size plays no part in formation, so one formation serves every memory
+/// size: execution only re-prices batches that are already formed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Formation {
+    /// Rebase offset `min(first arrival, 0)`; windows are formed on
+    /// `arrival − t0 ≥ 0`, so sliced windows may start at negative times.
+    pub t0: f64,
+    /// Batches in dispatch order; together they cover every arrival once.
+    pub spans: Vec<BatchSpan>,
+}
+
+/// Reject arrival sequences the former would silently mis-form: every
+/// timestamp must be finite, and the sequence sorted ascending.
+pub(crate) fn check_arrivals(arrivals: &[f64]) -> Result<(), DbatError> {
+    if let Some(i) = arrivals.iter().position(|a| !a.is_finite()) {
+        return Err(DbatError::parameter(format!(
+            "arrival {i} is not finite ({})",
+            arrivals[i]
+        )));
+    }
+    if let Some(i) = arrivals.windows(2).position(|w| w[0] > w[1]) {
+        return Err(DbatError::parameter(format!(
+            "arrivals must be sorted ascending: arrival {} ({}) follows {}",
+            i + 1,
+            arrivals[i + 1],
+            arrivals[i]
+        )));
+    }
+    Ok(())
+}
+
+/// Form the batches of a `(batch_size, timeout_s)` buffer over sorted
+/// arrivals in one forward scan (§III-B semantics, see the module docs).
+///
+/// A window opens at the first arrival into an empty buffer and closes at
+/// its B-th arrival or at `open + T`, whichever comes first; an arrival at
+/// exactly `open + T` still joins the window. `B = 1` or `T = 0` sends
+/// every request alone.
+pub fn form_batches(
+    arrivals: &[f64],
+    batch_size: u32,
+    timeout_s: f64,
+) -> Result<Formation, DbatError> {
+    validate_batching(batch_size, timeout_s)?;
+    check_arrivals(arrivals)?;
+    Ok(form(arrivals, batch_size, timeout_s))
+}
+
+/// [`form_batches`] on input the caller has already checked.
+pub(crate) fn form(arrivals: &[f64], batch_size: u32, timeout_s: f64) -> Formation {
+    let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
+    let n = arrivals.len();
+    let b = batch_size as usize;
+    let immediate = batch_size == 1 || timeout_s == 0.0;
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < n {
+        let open = arrivals[i] - t0;
+        // Not the general case with T = 0: that would let simultaneous
+        // arrivals share a batch, where B = 1 or T = 0 means no batching.
+        if immediate {
+            spans.push(BatchSpan {
+                start: i,
+                end: i + 1,
+                dispatch: open,
+                timed_out: false,
+            });
+            i += 1;
+            continue;
+        }
+        let deadline = open + timeout_s;
+        let last = n.min(i.saturating_add(b));
+        let mut j = i + 1;
+        // `<=`: an arrival and the window timer at the same instant resolve
+        // arrival first, so that arrival rides in the closing batch.
+        while j < last && arrivals[j] - t0 <= deadline {
+            j += 1;
+        }
+        let full = j - i == b;
+        spans.push(BatchSpan {
+            start: i,
+            end: j,
+            dispatch: if full { arrivals[j - 1] - t0 } else { deadline },
+            timed_out: !full,
+        });
+        i = j;
+    }
+    Formation { t0, spans }
+}
+
+/// Telemetry handles resolved once per simulation call, so the execution
 /// loop never touches the metric registry. `None` when telemetry is
 /// disabled, making instrumentation a single branch per use.
-struct SimTel {
-    events: std::sync::Arc<dbat_telemetry::Counter>,
-    batch_size: std::sync::Arc<dbat_telemetry::Histogram>,
-    flush_timeout: std::sync::Arc<dbat_telemetry::Counter>,
-    flush_capacity: std::sync::Arc<dbat_telemetry::Counter>,
-    cold_starts: std::sync::Arc<dbat_telemetry::Counter>,
-    queue_depth: std::sync::Arc<dbat_telemetry::Gauge>,
+pub(crate) struct SimTel {
+    events: Arc<Counter>,
+    batch_size: Arc<Histogram>,
+    flush_timeout: Arc<Counter>,
+    flush_capacity: Arc<Counter>,
+    cold_starts: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
 }
 
 impl SimTel {
-    fn resolve() -> Option<SimTel> {
+    pub(crate) fn resolve() -> Option<SimTel> {
         let t = dbat_telemetry::global();
         if !t.is_enabled() {
             return None;
@@ -150,168 +260,122 @@ impl SimTel {
     }
 }
 
-/// Simulate the batching buffer over a finite arrival sequence.
+/// Simulate the batching buffer over a finite arrival sequence: form the
+/// batches, then execute them at `cfg.memory_mb`.
 ///
 /// `rng` is only consulted when `params.cold_start` is set. Timestamps must
-/// be sorted ascending (the usual output of the workload generators).
+/// be finite and sorted ascending (the usual output of the workload
+/// generators); anything else panics, like an invalid `cfg`.
 pub fn simulate_batching(
     arrivals: &[f64],
     cfg: &LambdaConfig,
     params: &SimParams,
-    mut rng: Option<&mut Rng>,
+    rng: Option<&mut Rng>,
 ) -> SimOutcome {
     cfg.validate().expect("invalid configuration");
-    debug_assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be sorted"
-    );
+    check_arrivals(arrivals).expect("invalid arrivals");
     if params.cold_start.is_some() {
         assert!(rng.is_some(), "cold-start model requires an RNG");
     }
+    let formation = form(arrivals, cfg.batch_size, cfg.timeout_s);
+    execute(
+        arrivals,
+        &formation,
+        cfg,
+        params,
+        rng,
+        SimTel::resolve().as_ref(),
+    )
+}
 
-    let mut sched: Scheduler<Event> = Scheduler::new();
-    // Rebase so the engine's t >= 0 invariant holds for arbitrary windows.
-    let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
-    for (i, &a) in arrivals.iter().enumerate() {
-        sched.schedule(a - t0, Event::Arrival(i));
-    }
-
-    let mut buffer: Vec<usize> = Vec::with_capacity(cfg.batch_size as usize);
-    let mut opened_at = 0.0f64;
-    let mut epoch = 0u64;
-    let mut requests: Vec<RequestRecord> = arrivals
-        .iter()
-        .map(|&a| RequestRecord {
-            arrival: a,
-            dispatch: 0.0,
-            completion: 0.0,
-            batch: 0,
-        })
-        .collect();
-    let mut batches: Vec<BatchRecord> = Vec::new();
+/// Execute a formation at `cfg.memory_mb`: each batch is one invocation
+/// with service time `s(M, b)` for its realised size `b`, plus a cold start
+/// drawn from `rng` when `params.cold_start` is set (one draw per batch, in
+/// dispatch order). Costs are folded in dispatch order.
+pub(crate) fn execute(
+    arrivals: &[f64],
+    formation: &Formation,
+    cfg: &LambdaConfig,
+    params: &SimParams,
+    mut rng: Option<&mut Rng>,
+    tel: Option<&SimTel>,
+) -> SimOutcome {
+    let t0 = formation.t0;
+    let mut requests = Vec::with_capacity(arrivals.len());
+    let mut batches = Vec::with_capacity(formation.spans.len());
     let mut total_cost = 0.0;
-
-    // Dispatch closure state is threaded manually since `run` borrows sched.
-    let immediate = cfg.batch_size == 1 || cfg.timeout_s == 0.0;
-    let tel = SimTel::resolve();
-
-    run(&mut sched, |t, ev, sch| {
-        if let Some(tel) = &tel {
-            tel.events.inc();
+    // (service, cost) per realised size: both depend on nothing else.
+    let mut priced: Vec<Option<(f64, f64)>> = Vec::new();
+    for (k, span) in formation.spans.iter().enumerate() {
+        let size = span.end - span.start;
+        if size >= priced.len() {
+            priced.resize(size + 1, None);
         }
-        match ev {
-            Event::Arrival(i) => {
-                if buffer.is_empty() {
-                    opened_at = t;
-                    if !immediate && cfg.timeout_s.is_finite() {
-                        sch.schedule(t + cfg.timeout_s, Event::Timeout(epoch));
-                    }
+        let (service, cost) = *priced[size].get_or_insert_with(|| {
+            let service = params.profile.service_time(cfg.memory_mb, size as u32);
+            (
+                service,
+                params.pricing.invocation_cost(cfg.memory_mb, service),
+            )
+        });
+        let cold = params
+            .cold_start
+            .zip(rng.as_deref_mut())
+            .map_or(0.0, |(cs, r)| {
+                if r.bernoulli(cs.probability) {
+                    cs.delay_s
+                } else {
+                    0.0
                 }
-                buffer.push(i);
-                if immediate || buffer.len() as u32 >= cfg.batch_size {
-                    if let Some(tel) = &tel {
-                        tel.flush_capacity.inc();
-                    }
-                    dispatch(
-                        &mut buffer,
-                        t,
-                        opened_at,
-                        cfg,
-                        params,
-                        &mut rng,
-                        &mut requests,
-                        &mut batches,
-                        &mut total_cost,
-                        t0,
-                        &tel,
-                    );
-                    epoch += 1;
-                }
+            });
+        if let Some(tel) = tel {
+            tel.batch_size.record(size as f64);
+            if span.timed_out {
+                tel.flush_timeout.inc();
+            } else {
+                tel.flush_capacity.inc();
             }
-            Event::Timeout(e) => {
-                if e == epoch && !buffer.is_empty() {
-                    if let Some(tel) = &tel {
-                        tel.flush_timeout.inc();
-                    }
-                    dispatch(
-                        &mut buffer,
-                        t,
-                        opened_at,
-                        cfg,
-                        params,
-                        &mut rng,
-                        &mut requests,
-                        &mut batches,
-                        &mut total_cost,
-                        t0,
-                        &tel,
-                    );
-                    epoch += 1;
-                }
+            if cold > 0.0 {
+                tel.cold_starts.inc();
             }
         }
-        if let Some(tel) = &tel {
-            tel.queue_depth.set(buffer.len() as f64);
+        let dispatch = span.dispatch + t0;
+        let completion = dispatch + cold + service;
+        batches.push(BatchRecord {
+            // The window opened on the rebased clock; mapping it back can
+            // differ from the raw arrival in the last bit.
+            opened_at: (arrivals[span.start] - t0) + t0,
+            dispatched_at: dispatch,
+            size: size as u32,
+            service_s: service,
+            cold_start_s: cold,
+            cost,
+        });
+        total_cost += cost;
+        requests.extend(
+            arrivals[span.start..span.end]
+                .iter()
+                .map(|&arrival| RequestRecord {
+                    arrival,
+                    dispatch,
+                    completion,
+                    batch: k,
+                }),
+        );
+    }
+    debug_assert_eq!(requests.len(), arrivals.len(), "every request dispatched");
+    if let Some(tel) = tel {
+        if !arrivals.is_empty() {
+            let timeouts = formation.spans.iter().filter(|s| s.timed_out).count();
+            tel.events.add((arrivals.len() + timeouts) as u64);
+            tel.queue_depth.set(0.0);
         }
-    });
-
-    debug_assert!(buffer.is_empty(), "all requests must be dispatched");
+    }
     SimOutcome {
         requests,
         batches,
         total_cost,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    buffer: &mut Vec<usize>,
-    t: f64,
-    opened_at: f64,
-    cfg: &LambdaConfig,
-    params: &SimParams,
-    rng: &mut Option<&mut Rng>,
-    requests: &mut [RequestRecord],
-    batches: &mut Vec<BatchRecord>,
-    total_cost: &mut f64,
-    t0: f64,
-    tel: &Option<SimTel>,
-) {
-    let size = buffer.len() as u32;
-    let service = params.profile.service_time(cfg.memory_mb, size);
-    let cold = params
-        .cold_start
-        .zip(rng.as_deref_mut())
-        .map_or(0.0, |(cs, r)| {
-            if r.bernoulli(cs.probability) {
-                cs.delay_s
-            } else {
-                0.0
-            }
-        });
-    let cost = params.pricing.invocation_cost(cfg.memory_mb, service);
-    if let Some(tel) = tel {
-        tel.batch_size.record(size as f64);
-        if cold > 0.0 {
-            tel.cold_starts.inc();
-        }
-    }
-    let batch_idx = batches.len();
-    batches.push(BatchRecord {
-        opened_at: opened_at + t0,
-        dispatched_at: t + t0,
-        size,
-        service_s: service,
-        cold_start_s: cold,
-        cost,
-    });
-    *total_cost += cost;
-    for &i in buffer.iter() {
-        requests[i].dispatch = t + t0;
-        requests[i].completion = t + t0 + cold + service;
-        requests[i].batch = batch_idx;
-    }
-    buffer.clear();
 }
 
 #[cfg(test)]
@@ -452,6 +516,67 @@ mod tests {
         assert!(out.batches.is_empty());
         assert_eq!(out.total_cost, 0.0);
         assert_eq!(out.cost_per_request(), 0.0);
+    }
+
+    #[test]
+    fn form_batches_spans_and_rebase() {
+        let f = form_batches(&[-1.0, -0.99, 0.5], 2, 0.05).unwrap();
+        assert_eq!(f.t0, -1.0);
+        assert_eq!(
+            f.spans,
+            [
+                BatchSpan {
+                    start: 0,
+                    end: 2,
+                    dispatch: -0.99 - -1.0,
+                    timed_out: false,
+                },
+                BatchSpan {
+                    start: 2,
+                    end: 3,
+                    dispatch: (0.5 - -1.0) + 0.05,
+                    timed_out: true,
+                },
+            ]
+        );
+        assert!(form_batches(&[], 4, 0.1).unwrap().spans.is_empty());
+    }
+
+    #[test]
+    fn form_batches_rejects_non_finite_arrivals() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = form_batches(&[0.0, bad, 1.0], 2, 0.1).unwrap_err();
+            assert!(err.to_string().contains("not finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn form_batches_rejects_unsorted_arrivals() {
+        let err = form_batches(&[0.0, 0.2, 0.1], 2, 0.1).unwrap_err();
+        assert!(err.to_string().contains("sorted"), "{err}");
+        // Duplicates are sorted.
+        assert!(form_batches(&[0.1, 0.1], 2, 0.1).is_ok());
+    }
+
+    #[test]
+    fn form_batches_rejects_invalid_batching() {
+        assert!(form_batches(&[0.0], 0, 0.1).is_err());
+        assert!(form_batches(&[0.0], 2, -0.1).is_err());
+        assert!(form_batches(&[0.0], 2, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn simulate_batching_panics_on_unsorted_arrivals() {
+        let cfg = LambdaConfig::new(1024, 2, 0.05);
+        simulate_batching(&[0.3, 0.1], &cfg, &params(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn simulate_batching_panics_on_nan_arrival() {
+        let cfg = LambdaConfig::new(1024, 2, 0.05);
+        simulate_batching(&[0.0, f64::NAN], &cfg, &params(), None);
     }
 
     #[test]

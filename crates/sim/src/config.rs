@@ -40,14 +40,7 @@ impl LambdaConfig {
 
     /// Check the constraint set of the paper's Eq. (10c)–(10e).
     pub fn validate(&self) -> Result<(), DbatError> {
-        if self.batch_size < 1 {
-            return Err(DbatError::config("batch size must be >= 1 (Eq. 10c)"));
-        }
-        if self.timeout_s < 0.0 || !self.timeout_s.is_finite() {
-            return Err(DbatError::config(
-                "timeout must be finite and >= 0 (Eq. 10d)",
-            ));
-        }
+        validate_batching(self.batch_size, self.timeout_s)?;
         if !(MEMORY_MIN_MB..=MEMORY_MAX_MB).contains(&self.memory_mb) {
             return Err(DbatError::config(format!(
                 "memory must be in [{MEMORY_MIN_MB}, {MEMORY_MAX_MB}] MB (Eq. 10e)"
@@ -55,6 +48,19 @@ impl LambdaConfig {
         }
         Ok(())
     }
+}
+
+/// Check the batching half of the constraint set, Eq. (10c)–(10d).
+pub(crate) fn validate_batching(batch_size: u32, timeout_s: f64) -> Result<(), DbatError> {
+    if batch_size < 1 {
+        return Err(DbatError::config("batch size must be >= 1 (Eq. 10c)"));
+    }
+    if timeout_s < 0.0 || !timeout_s.is_finite() {
+        return Err(DbatError::config(
+            "timeout must be finite and >= 0 (Eq. 10d)",
+        ));
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for LambdaConfig {

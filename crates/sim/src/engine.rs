@@ -1,9 +1,10 @@
 //! A small discrete-event simulation core: a time-ordered event queue with
 //! deterministic FIFO tie-breaking and a driver loop.
 //!
-//! The batching simulator is built on top of this engine; keeping the engine
-//! generic lets tests (and extensions such as cold-start modelling) inject
-//! their own event types.
+//! The fault and concurrency simulators and the virtual-clock replay in
+//! `dbat-serve` are built on this engine; keeping it generic lets each
+//! inject its own event types. The plain batching simulator needs no event
+//! queue: it forms batches in one scan ([`crate::batching::form_batches`]).
 
 use dbat_telemetry::Counter;
 use std::cmp::Ordering;

@@ -4,17 +4,21 @@
 //! ground-truth oracle, mirroring how the paper obtains its ground truth
 //! ("by simulation as in \[10\], \[18\]", §IV-A).
 //!
-//! * [`engine`] — generic future-event-list DES core;
+//! * [`engine`] — generic future-event-list DES core (faults, concurrency,
+//!   and the serve replay);
 //! * [`config`] — `(M, B, T)` configurations and the shared search grid;
 //! * [`service`] — deterministic profiled service-time surface `s(M, B)`;
 //! * [`pricing`] — AWS Lambda pay-as-you-go cost model;
-//! * [`batching`] — the buffer/batch/dispatch simulation;
+//! * [`batching`] — the buffer/batch/dispatch simulation: a heap-free
+//!   linear-scan batch former ([`form_batches`]) plus an execution pass
+//!   that prices a formation at one memory size;
 //! * [`metrics`] — latency summaries and the VCR metric (Eq. 11);
 //! * [`faults`] — seeded fault injection (cold starts, failures + retry,
 //!   throttling, stragglers) layered on the batching DES;
 //! * [`controller`] — the [`Controller`] trait the closed-loop policies
 //!   implement, plus the shared measurement/audit machinery and driver;
-//! * [`mod@sweep`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
+//! * [`mod@sweep`] — rayon-parallel exhaustive grid search (Eq. 10 optimum),
+//!   forming each `(B, T)` once and sharing it across memory sizes;
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
 //!   decision ([`joint_decide`]);
@@ -37,7 +41,8 @@ pub mod sweep;
 pub mod tokens;
 
 pub use batching::{
-    simulate_batching, BatchRecord, ColdStart, RequestRecord, SimOutcome, SimParams,
+    form_batches, simulate_batching, BatchRecord, BatchSpan, ColdStart, Formation, RequestRecord,
+    SimOutcome, SimParams,
 };
 pub use concurrency::{simulate_with_concurrency, ContainerPool};
 pub use config::{

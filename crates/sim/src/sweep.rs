@@ -2,10 +2,13 @@
 //!
 //! The paper's ground truth is "a search across all possible configurations
 //! of memory size, batch size, and timeout" driven by simulation (§IV-A).
-//! Sweeping the grid is embarrassingly parallel, so each configuration is
-//! simulated on its own rayon task.
+//! Batch formation depends only on the arrivals and `(B, T)`, so the sweep
+//! forms each `(B, T)` once, on its own rayon task, and executes that
+//! formation at every memory size of the grid.
 
-use crate::batching::{simulate_batching, SimParams};
+use crate::batching::{
+    check_arrivals, execute, form, simulate_batching, SimOutcome, SimParams, SimTel,
+};
 use crate::config::{ConfigGrid, LambdaConfig};
 use crate::metrics::LatencySummary;
 use rayon::prelude::*;
@@ -29,21 +32,61 @@ impl Evaluation {
 
 /// Simulate a single configuration over the given arrivals.
 pub fn evaluate(arrivals: &[f64], cfg: &LambdaConfig, params: &SimParams) -> Evaluation {
-    let out = simulate_batching(arrivals, cfg, params, None);
+    evaluation(*cfg, &simulate_batching(arrivals, cfg, params, None))
+}
+
+fn evaluation(config: LambdaConfig, out: &SimOutcome) -> Evaluation {
     Evaluation {
-        config: *cfg,
+        config,
         summary: out.summary(),
         cost_per_request: out.cost_per_request(),
         mean_batch_size: out.mean_batch_size(),
     }
 }
 
-/// Simulate every configuration of the grid in parallel (deterministic
-/// output order: the grid's enumeration order).
+/// Simulate every configuration of the grid (deterministic output order:
+/// the grid's enumeration order). Each `(B, T)` is formed once and its
+/// formation executed at every memory size; the `(B, T)` keys run in
+/// parallel. Every result is bitwise what [`evaluate`] gives for that
+/// configuration.
+///
+/// Panics on unsorted or non-finite arrivals, and when `params.cold_start`
+/// is set: the sweep evaluates the deterministic model and draws no cold
+/// starts.
 pub fn sweep(arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) -> Vec<Evaluation> {
-    grid.configs()
+    assert!(
+        params.cold_start.is_none(),
+        "sweep evaluates the deterministic model: params.cold_start must be None \
+         (use simulate_batching with an RNG to sample cold starts)"
+    );
+    check_arrivals(arrivals).expect("invalid arrivals");
+    let configs = grid.configs();
+    let timeouts = grid.timeouts_s.len();
+    let keys = grid.batch_sizes.len() * timeouts;
+    let tel = SimTel::resolve();
+    let per_key: Vec<Vec<Evaluation>> = (0..keys)
+        .collect::<Vec<_>>()
         .par_iter()
-        .map(|cfg| evaluate(arrivals, cfg, params))
+        .map(|&k| {
+            let formation = form(
+                arrivals,
+                grid.batch_sizes[k / timeouts],
+                grid.timeouts_s[k % timeouts],
+            );
+            // Memory-major grid order: config `m * keys + k` is (M_m, key k).
+            configs
+                .iter()
+                .skip(k)
+                .step_by(keys)
+                .map(|cfg| {
+                    let out = execute(arrivals, &formation, cfg, params, None, tel.as_ref());
+                    evaluation(*cfg, &out)
+                })
+                .collect()
+        })
+        .collect();
+    (0..configs.len())
+        .map(|c| per_key[c % keys][c / keys])
         .collect()
 }
 
@@ -153,6 +196,68 @@ mod tests {
             tight.cost_per_request >= loose.cost_per_request,
             "tight SLO cannot be cheaper than loose"
         );
+    }
+
+    #[test]
+    fn sweep_is_bitwise_per_config_evaluate() {
+        use dbat_workload::TraceKind;
+        let trace = TraceKind::AzureLike.generate_for(3, 180.0);
+        let shifted: Vec<f64> = trace
+            .slice(60.0, 120.0)
+            .timestamps()
+            .iter()
+            .map(|t| t - 30.0)
+            .collect();
+        assert!(shifted[0] < 0.0, "the shifted window must start before 0");
+        let windows = [
+            trace.slice(0.0, 60.0).timestamps().to_vec(),
+            trace.slice(120.0, 180.0).timestamps().to_vec(),
+            shifted,
+        ];
+        let grid = ConfigGrid::paper_default();
+        let params = SimParams::default();
+        for arrivals in &windows {
+            assert!(arrivals.len() > 500, "window too small to be interesting");
+            let evals = sweep(arrivals, &grid, &params);
+            assert_eq!(evals.len(), grid.len());
+            for (e, cfg) in evals.iter().zip(grid.configs()) {
+                let r = evaluate(arrivals, &cfg, &params);
+                assert_eq!(e.config, r.config);
+                assert_eq!(e.cost_per_request.to_bits(), r.cost_per_request.to_bits());
+                assert_eq!(e.mean_batch_size.to_bits(), r.mean_batch_size.to_bits());
+                let (a, b) = (e.summary, r.summary);
+                for (x, y) in [
+                    (a.p50, b.p50),
+                    (a.p90, b.p90),
+                    (a.p95, b.p95),
+                    (a.p99, b.p99),
+                    (a.mean, b.mean),
+                    (a.max, b.max),
+                ] {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{cfg}");
+                }
+                assert_eq!(a.count, b.count);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "params.cold_start must be None")]
+    fn sweep_rejects_cold_start_params() {
+        let params = SimParams {
+            cold_start: Some(crate::batching::ColdStart {
+                probability: 0.5,
+                delay_s: 0.3,
+            }),
+            ..SimParams::default()
+        };
+        sweep(&dense_arrivals(), &ConfigGrid::tiny(), &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn sweep_rejects_unsorted_arrivals() {
+        sweep(&[0.2, 0.1], &ConfigGrid::tiny(), &SimParams::default());
     }
 
     #[test]
