@@ -258,6 +258,26 @@ impl SimTel {
             queue_depth: t.gauge("sim.queue_depth"),
         })
     }
+
+    /// One dispatched batch of `size` requests and its flush reason.
+    pub(crate) fn batch(&self, size: usize, timed_out: bool) {
+        self.batch_size.record(size as f64);
+        if timed_out {
+            self.flush_timeout.inc();
+        } else {
+            self.flush_capacity.inc();
+        }
+    }
+
+    /// A fully executed formation over `n` arrivals: the events are the
+    /// arrivals plus the timer flushes, and the buffer ends empty.
+    pub(crate) fn formed(&self, formation: &Formation, n: usize) {
+        if n > 0 {
+            let timeouts = formation.spans.iter().filter(|s| s.timed_out).count();
+            self.events.add((n + timeouts) as u64);
+            self.queue_depth.set(0.0);
+        }
+    }
 }
 
 /// Simulate the batching buffer over a finite arrival sequence: form the
@@ -329,12 +349,7 @@ pub(crate) fn execute(
                 }
             });
         if let Some(tel) = tel {
-            tel.batch_size.record(size as f64);
-            if span.timed_out {
-                tel.flush_timeout.inc();
-            } else {
-                tel.flush_capacity.inc();
-            }
+            tel.batch(size, span.timed_out);
             if cold > 0.0 {
                 tel.cold_starts.inc();
             }
@@ -365,11 +380,7 @@ pub(crate) fn execute(
     }
     debug_assert_eq!(requests.len(), arrivals.len(), "every request dispatched");
     if let Some(tel) = tel {
-        if !arrivals.is_empty() {
-            let timeouts = formation.spans.iter().filter(|s| s.timed_out).count();
-            tel.events.add((arrivals.len() + timeouts) as u64);
-            tel.queue_depth.set(0.0);
-        }
+        tel.formed(formation, arrivals.len());
     }
     SimOutcome {
         requests,

@@ -17,10 +17,11 @@
 //! workload:
 //!
 //! * [`simulate_tokens_windowed`] — the paper's clairvoyant window
-//!   batching, re-costed token by token. Window formation is *identical*
-//!   to [`simulate_batching`] (it only depends on arrivals and `(B, T)`),
-//!   so the degenerate workload (1 prompt / 1 output token each, no
-//!   capacity limit) reduces to the base simulator **bit for bit**.
+//!   batching, re-costed token by token. It runs over the batch former
+//!   ([`form_batches`]) that [`simulate_batching`] uses (formation only
+//!   depends on arrivals and `(B, T)`), so the degenerate workload
+//!   (1 prompt / 1 output token each, no capacity limit) reduces to the
+//!   base simulator **bit for bit**.
 //! * [`simulate_tokens_continuous`] — continuous batching: requests join
 //!   the running batch at decode-step boundaries and leave on completion,
 //!   over a fixed fleet of engine replicas with KV-cache
@@ -28,16 +29,18 @@
 //!   one serverless invocation of the step's duration, which is exactly
 //!   [`simulate_batching`]'s cost accounting in the degenerate case.
 //!
-//! Both disciplines are event-driven and bit-for-bit deterministic under
-//! fixed seeds, and both keep a conservation ledger:
-//! `completed + rejected == offered`.
+//! Both disciplines are bit-for-bit deterministic under fixed seeds, and
+//! both keep a conservation ledger: `completed + rejected == offered`.
+//! Decode work depends only on the cohort size `b <= B`, so each run
+//! tabulates it once per `b` instead of once per decode step; the table
+//! holds exactly the values the formula gives, so no stamp or cost moves.
 //!
 //! The shared per-engine state machine, [`ContinuousCore`], is clock-free
 //! (it consumes event times, it never reads a clock) so `dbat-serve` can
 //! drive the same struct behind its `Clock` trait and stay bitwise equal
 //! to the simulator under a virtual clock.
 
-use crate::batching::{simulate_batching, SimParams};
+use crate::batching::{check_arrivals, form, SimTel};
 use crate::config::{LambdaConfig, SimConfig};
 use crate::controller::{Controller, DecisionContext, IntervalMeasurement, RunOutcome};
 use crate::faults::FaultCounts;
@@ -45,9 +48,12 @@ use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
 use crate::service::ServiceProfile;
 use dbat_telemetry::{TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
-use dbat_workload::{TokenSlo, TokenSpec, TokenizedTrace};
+use dbat_workload::{validate_specs, TokenSlo, TokenSpec, TokenizedTrace};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+#[cfg(doc)]
+use crate::batching::{form_batches, simulate_batching};
 
 /// Round a duration up to the 1 ms billing granularity, the same rule
 /// [`ServiceProfile::service_time`] applies.
@@ -175,6 +181,38 @@ impl TokenParams {
         }
         let free_mb = memory_mb.saturating_sub(self.model_mb) as f64;
         Some((free_mb * 1024.0 * 1024.0 / self.kv_bytes_per_token).floor() as u64)
+    }
+}
+
+/// Per-cohort step prices at one memory size, for cohorts `b = 0..=max`.
+#[derive(Clone, Debug)]
+struct StepTable {
+    speed: f64,
+    /// `decode_work(b)`.
+    decode_work: Vec<f64>,
+    /// Duration and cost of a step nobody joined:
+    /// `ceil_ms(decode_work(b) / speed)` and its invocation cost.
+    decode_only: Vec<(f64, f64)>,
+}
+
+impl StepTable {
+    fn new(params: &TokenParams, memory_mb: u32, max_cohort: usize) -> Self {
+        let speed = params.profile.speed(memory_mb);
+        let decode_work: Vec<f64> = (0..=max_cohort as u32)
+            .map(|b| params.profile.decode_work(b))
+            .collect();
+        let decode_only = decode_work
+            .iter()
+            .map(|&work| {
+                let dur = ceil_ms(work / speed);
+                (dur, params.pricing.invocation_cost(memory_mb, dur))
+            })
+            .collect();
+        StepTable {
+            speed,
+            decode_work,
+            decode_only,
+        }
     }
 }
 
@@ -320,41 +358,27 @@ impl TokenSimOutcome {
     }
 }
 
-/// Count of requests still active after `k` decode steps, for a batch
-/// with the given output lengths: walks `k = 1..=max` with a sorted
-/// pointer instead of re-scanning members (O(b log b + max)).
-fn decode_schedule(outputs: &mut [u32]) -> Vec<u32> {
-    outputs.sort_unstable();
-    let max = *outputs.last().expect("non-empty batch") as usize;
-    let mut active = Vec::with_capacity(max);
-    let mut alive = outputs.len() as u32;
-    let mut ptr = 0usize;
-    for k in 1..=max as u32 {
-        active.push(alive);
-        while ptr < outputs.len() && outputs[ptr] == k {
-            ptr += 1;
-            alive -= 1;
-        }
-    }
-    active
-}
-
 /// The paper's clairvoyant window batching, re-costed with the two-phase
 /// token model.
 ///
 /// Window formation (open on first arrival, dispatch at `min(B-th
 /// arrival, open + T)`, every batch on its own autoscaled instance) only
-/// depends on arrivals and `(B, T)`, so it is delegated verbatim to
-/// [`simulate_batching`]. Each dispatched batch then runs prefill over
-/// its summed prompt tokens followed by one decode step per output
-/// token, with members leaving the cohort as their outputs complete;
-/// the invocation bills its total ms-rounded busy time.
+/// depends on arrivals and `(B, T)`, so the admitted arrivals go through
+/// the batch former [`simulate_batching`] uses, [`form_batches`]. Each
+/// batch then runs prefill over its summed prompt tokens followed by one
+/// decode step per output token, with members leaving the cohort as
+/// their outputs complete; the invocation bills its total ms-rounded busy
+/// time. Telemetry records each batch like [`simulate_batching`] does
+/// (`sim.batch_size`, `sim.flush.*`, `sim.events`).
 ///
 /// Admission: a request whose own KV footprint (`prompt + output`
 /// tokens) exceeds the function's capacity is rejected up front.
 /// Batch-level KV pressure is not modelled here — every window batch is
 /// its own instance (see [`simulate_tokens_continuous`] for resident-set
 /// admission).
+///
+/// Panics on an invalid `cfg`, on arrivals that are not finite and
+/// sorted, and on a spec with zero prompt or output tokens.
 pub fn simulate_tokens_windowed(
     arrivals: &[f64],
     specs: &[TokenSpec],
@@ -363,6 +387,8 @@ pub fn simulate_tokens_windowed(
 ) -> TokenSimOutcome {
     assert_eq!(arrivals.len(), specs.len(), "one spec per arrival");
     cfg.validate().expect("invalid configuration");
+    check_arrivals(arrivals).expect("invalid arrivals");
+    validate_specs(specs).expect("invalid token specs");
     let capacity = params.capacity_tokens(cfg.memory_mb);
 
     // Admission: oversize requests can never fit an instance.
@@ -371,73 +397,66 @@ pub fn simulate_tokens_windowed(
         .collect();
     let rejected = arrivals.len() - admitted.len();
     let admitted_arrivals: Vec<f64> = admitted.iter().map(|&i| arrivals[i]).collect();
+    let formation = form(&admitted_arrivals, cfg.batch_size, cfg.timeout_s);
 
-    // Window formation, delegated bit-for-bit to the base simulator
-    // (service/cost of the base run are discarded).
-    let base = simulate_batching(&admitted_arrivals, cfg, &SimParams::default(), None);
-
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); base.batches.len()];
-    for (a, r) in base.requests.iter().enumerate() {
-        members[r.batch].push(a); // index into `admitted`
-    }
-
-    let speed = params.profile.speed(cfg.memory_mb);
-    let mut served: Vec<Option<TokenRequestRecord>> = vec![None; arrivals.len()];
-    let mut invocations = Vec::with_capacity(base.batches.len());
+    let max_cohort = (cfg.batch_size as usize).min(admitted.len());
+    let steps = StepTable::new(params, cfg.memory_mb, max_cohort);
+    let tel = SimTel::resolve();
+    let mut served = Vec::with_capacity(admitted.len());
+    let mut invocations = Vec::with_capacity(formation.spans.len());
     let mut total_cost = 0.0;
-
-    for (bi, batch) in base.batches.iter().enumerate() {
-        let m = &members[bi];
-        debug_assert!(!m.is_empty());
-        let dispatch = batch.dispatched_at;
-        let prompt_sum: u64 = m
-            .iter()
-            .map(|&a| specs[admitted[a]].prompt_tokens as u64)
-            .sum();
-        let mut outputs: Vec<u32> = m
-            .iter()
-            .map(|&a| specs[admitted[a]].output_tokens)
-            .collect();
-        let active = decode_schedule(&mut outputs);
-
-        let mut work = params.profile.prefill_work(prompt_sum);
-        let mut first_token = 0.0;
-        let mut step_ends = Vec::with_capacity(active.len());
-        for (k, &b) in active.iter().enumerate() {
-            work += params.profile.decode_work(b);
-            let t = dispatch + ceil_ms(work / speed);
-            if k == 0 {
-                first_token = t;
-            }
-            step_ends.push(t);
+    // Scratch reused across batches: the members' output lengths, sorted,
+    // and the end of each decode step.
+    let (mut outputs, mut step_ends) = (Vec::new(), Vec::new());
+    for span in &formation.spans {
+        let members = &admitted[span.start..span.end];
+        let dispatch = span.dispatch + formation.t0;
+        if let Some(tel) = &tel {
+            tel.batch(members.len(), span.timed_out);
         }
-        let busy = ceil_ms(work / speed);
+        let prompt_sum: u64 = members.iter().map(|&i| specs[i].prompt_tokens as u64).sum();
+        outputs.clear();
+        outputs.extend(members.iter().map(|&i| specs[i].output_tokens));
+        outputs.sort_unstable();
+
+        // Step k (from 1) runs every member with at least k output
+        // tokens; `done` counts the members that finished before it.
+        let mut work = params.profile.prefill_work(prompt_sum);
+        let mut done = 0;
+        step_ends.clear();
+        for k in 1..=outputs[outputs.len() - 1] {
+            work += steps.decode_work[outputs.len() - done];
+            step_ends.push(dispatch + ceil_ms(work / steps.speed));
+            while done < outputs.len() && outputs[done] == k {
+                done += 1;
+            }
+        }
+        let busy = ceil_ms(work / steps.speed);
         let cost = params.pricing.invocation_cost(cfg.memory_mb, busy);
         total_cost += cost;
         invocations.push(TokenInvocation {
             start: dispatch,
             busy_s: busy,
-            size: m.len() as u32,
-            joined: m.len() as u32,
+            size: members.len() as u32,
+            joined: members.len() as u32,
             cost,
             engine: 0,
-            anchor: admitted[m[0]],
+            anchor: members[0],
         });
-        for &a in m {
-            let i = admitted[a];
-            let spec = specs[i];
-            served[i] = Some(TokenRequestRecord {
-                arrival: arrivals[i],
-                dispatch,
-                first_token,
-                completion: step_ends[spec.output_tokens as usize - 1],
-                spec,
-            });
-        }
+        served.extend(members.iter().map(|&i| TokenRequestRecord {
+            arrival: arrivals[i],
+            dispatch,
+            first_token: step_ends[0],
+            completion: step_ends[specs[i].output_tokens as usize - 1],
+            spec: specs[i],
+        }));
+    }
+    if let Some(tel) = &tel {
+        tel.formed(&formation, admitted.len());
     }
 
     let out = TokenSimOutcome {
-        served: served.into_iter().flatten().collect(),
+        served,
         rejected,
         offered: arrivals.len(),
         invocations,
@@ -501,12 +520,16 @@ impl Engine {
 ///
 /// `config.timeout_s` is not consulted: continuous batching has no
 /// windows to time out.
+///
+/// A step's duration and cost come from a per-cohort table built in
+/// [`Self::new`] when nobody joined; only join steps price prefill.
 #[derive(Clone, Debug)]
 pub struct ContinuousCore {
     arrivals: Vec<f64>,
     specs: Vec<TokenSpec>,
     config: LambdaConfig,
     params: TokenParams,
+    steps: StepTable,
     capacity: Option<u64>,
     engines: Vec<Engine>,
     next_arrival: usize,
@@ -519,6 +542,9 @@ pub struct ContinuousCore {
 impl ContinuousCore {
     /// `replicas` engine instances, each running `config.memory_mb` of
     /// memory with cohort bound `config.batch_size`.
+    ///
+    /// Panics on an invalid `config`, on arrivals that are not finite and
+    /// sorted, and on a spec with zero prompt or output tokens.
     pub fn new(
         arrivals: &[f64],
         specs: &[TokenSpec],
@@ -529,15 +555,15 @@ impl ContinuousCore {
         assert_eq!(arrivals.len(), specs.len(), "one spec per arrival");
         assert!(replicas >= 1, "at least one engine replica");
         config.validate().expect("invalid configuration");
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrivals must be sorted"
-        );
+        check_arrivals(arrivals).expect("invalid arrivals");
+        validate_specs(specs).expect("invalid token specs");
+        let max_cohort = (config.batch_size as usize).min(arrivals.len());
         ContinuousCore {
             arrivals: arrivals.to_vec(),
             specs: specs.to_vec(),
             config: *config,
             params: *params,
+            steps: StepTable::new(params, config.memory_mb, max_cohort),
             capacity: params.capacity_tokens(config.memory_mb),
             engines: vec![Engine::default(); replicas],
             next_arrival: 0,
@@ -627,23 +653,24 @@ impl ContinuousCore {
                 return;
             }
         }
-        let cohort = self.engines[e].active.len() as u32;
-        let work = if joined > 0 {
-            self.params.profile.prefill_work(joiner_prompts)
-                + self.params.profile.decode_work(cohort)
+        let cohort = self.engines[e].active.len();
+        let (dur, cost) = if joined > 0 {
+            let work =
+                self.params.profile.prefill_work(joiner_prompts) + self.steps.decode_work[cohort];
+            let dur = ceil_ms(work / self.steps.speed);
+            let cost = self
+                .params
+                .pricing
+                .invocation_cost(self.config.memory_mb, dur);
+            (dur, cost)
         } else {
-            self.params.profile.decode_work(cohort)
+            self.steps.decode_only[cohort]
         };
-        let dur = ceil_ms(work / self.params.profile.speed(self.config.memory_mb));
-        let cost = self
-            .params
-            .pricing
-            .invocation_cost(self.config.memory_mb, dur);
         self.total_cost += cost;
         self.invocations.push(TokenInvocation {
             start: t,
             busy_s: dur,
-            size: cohort,
+            size: cohort as u32,
             joined,
             cost,
             engine: e as u32,
@@ -653,30 +680,32 @@ impl ContinuousCore {
     }
 
     fn on_step_end(&mut self, e: usize, t: f64) {
-        let eng = &mut self.engines[e];
-        debug_assert_eq!(eng.step_end, Some(t));
-        eng.step_end = None;
-        let mut still = Vec::with_capacity(eng.active.len());
-        for mut slot in eng.active.drain(..) {
-            if slot.first_token.is_none() {
-                slot.first_token = Some(t);
-            }
+        let Engine {
+            active,
+            kv_used,
+            step_end,
+            ..
+        } = &mut self.engines[e];
+        debug_assert_eq!(*step_end, Some(t));
+        *step_end = None;
+        let (arrivals, specs, served) = (&self.arrivals, &self.specs, &mut self.served);
+        active.retain_mut(|slot| {
+            let first_token = *slot.first_token.get_or_insert(t);
             slot.remaining -= 1;
-            if slot.remaining == 0 {
-                let i = slot.idx;
-                eng.kv_used -= self.specs[i].total_tokens();
-                self.served[i] = Some(TokenRequestRecord {
-                    arrival: self.arrivals[i],
-                    dispatch: slot.dispatch,
-                    first_token: slot.first_token.expect("set above"),
-                    completion: t,
-                    spec: self.specs[i],
-                });
-            } else {
-                still.push(slot);
+            if slot.remaining > 0 {
+                return true;
             }
-        }
-        eng.active = still;
+            let i = slot.idx;
+            *kv_used -= specs[i].total_tokens();
+            served[i] = Some(TokenRequestRecord {
+                arrival: arrivals[i],
+                dispatch: slot.dispatch,
+                first_token,
+                completion: t,
+                spec: specs[i],
+            });
+            false
+        });
         self.begin_step(e, t);
     }
 
@@ -707,7 +736,7 @@ impl ContinuousCore {
 }
 
 /// Continuous batching over `replicas` engine instances (see
-/// [`ContinuousCore`] for the discipline).
+/// [`ContinuousCore`] for the discipline and the inputs it rejects).
 pub fn simulate_tokens_continuous(
     arrivals: &[f64],
     specs: &[TokenSpec],
@@ -870,7 +899,7 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::simulate_batching;
+    use crate::batching::{simulate_batching, SimParams};
     use dbat_workload::{LognormalTokens, TokenMix, Trace, TraceKind};
 
     fn azure_slice(n_target: usize) -> Trace {
@@ -1013,6 +1042,87 @@ mod tests {
         let w = simulate_tokens_windowed(&arrivals, &specs, &cfg, &params);
         assert!(w.conserved());
         assert_eq!(w.rejected, 1);
+    }
+
+    fn zero_output_spec() -> Vec<TokenSpec> {
+        vec![
+            TokenSpec::new(8, 2),
+            TokenSpec {
+                prompt_tokens: 8,
+                output_tokens: 0,
+            },
+        ]
+    }
+
+    fn zero_prompt_spec() -> Vec<TokenSpec> {
+        vec![TokenSpec {
+            prompt_tokens: 0,
+            output_tokens: 3,
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid token specs")]
+    fn continuous_rejects_zero_output_tokens() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let params = TokenParams::llm_like();
+        simulate_tokens_continuous(&[0.0, 0.1], &zero_output_spec(), &cfg, &params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid token specs")]
+    fn continuous_rejects_zero_prompt_tokens() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let params = TokenParams::llm_like();
+        simulate_tokens_continuous(&[0.0], &zero_prompt_spec(), &cfg, &params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid token specs")]
+    fn windowed_rejects_zero_output_tokens() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let params = TokenParams::llm_like();
+        simulate_tokens_windowed(&[0.0, 0.1], &zero_output_spec(), &cfg, &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid token specs")]
+    fn windowed_rejects_zero_prompt_tokens() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let params = TokenParams::llm_like();
+        simulate_tokens_windowed(&[0.0], &zero_prompt_spec(), &cfg, &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn continuous_rejects_unsorted_arrivals() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let specs = vec![TokenSpec::new(8, 2); 2];
+        ContinuousCore::new(&[0.3, 0.1], &specs, &cfg, &TokenParams::llm_like(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn continuous_rejects_nan_arrival() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let specs = vec![TokenSpec::new(8, 2); 2];
+        ContinuousCore::new(&[0.0, f64::NAN], &specs, &cfg, &TokenParams::llm_like(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn windowed_rejects_unsorted_arrivals() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let specs = vec![TokenSpec::new(8, 2); 2];
+        simulate_tokens_windowed(&[0.3, 0.1], &specs, &cfg, &TokenParams::llm_like());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrivals")]
+    fn windowed_rejects_nan_arrival() {
+        let cfg = LambdaConfig::new(1792, 4, 0.1);
+        let specs = vec![TokenSpec::new(8, 2); 2];
+        simulate_tokens_windowed(&[0.0, f64::NAN], &specs, &cfg, &TokenParams::llm_like());
     }
 
     #[test]

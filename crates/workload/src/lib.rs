@@ -52,7 +52,8 @@ pub use stats::{
     percentile_sorted, scv, variance, WindowStats,
 };
 pub use tokens::{
-    EmpiricalTokens, LognormalTokens, TokenMix, TokenSlo, TokenSpec, TokenStats, TokenizedTrace,
+    validate_specs, EmpiricalTokens, LognormalTokens, TokenMix, TokenSlo, TokenSpec, TokenStats,
+    TokenizedTrace,
 };
 pub use trace::Trace;
 pub use traces::{synthetic_segments, SyntheticSegment, TraceKind, DAY, HOUR};

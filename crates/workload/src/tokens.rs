@@ -57,6 +57,22 @@ impl TokenSpec {
     }
 }
 
+/// Validate a spec slice: every request needs at least one prompt and one
+/// output token. The fields are public, so specs built without
+/// [`TokenSpec::new`] can hold zeros, which the decode loops cannot serve.
+pub fn validate_specs(specs: &[TokenSpec]) -> Result<(), DbatError> {
+    match specs
+        .iter()
+        .position(|s| s.prompt_tokens == 0 || s.output_tokens == 0)
+    {
+        Some(i) => Err(DbatError::config(format!(
+            "token spec {i} needs at least one prompt and one output token (got {} / {})",
+            specs[i].prompt_tokens, specs[i].output_tokens
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Token-level SLOs: time to first token and time per output token.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TokenSlo {
@@ -249,7 +265,8 @@ pub struct TokenizedTrace {
 }
 
 impl TokenizedTrace {
-    /// Pair a trace with specs; errors when the lengths disagree.
+    /// Pair a trace with specs; errors when the lengths disagree or a
+    /// spec has zero prompt or output tokens ([`validate_specs`]).
     pub fn new(trace: Trace, specs: Vec<TokenSpec>) -> Result<Self, DbatError> {
         if trace.len() != specs.len() {
             return Err(DbatError::config(format!(
@@ -258,6 +275,7 @@ impl TokenizedTrace {
                 trace.len()
             )));
         }
+        validate_specs(&specs)?;
         Ok(TokenizedTrace { trace, specs })
     }
 
@@ -391,5 +409,25 @@ mod tests {
         assert!(TokenSlo::new(0.5, 0.05).validate().is_ok());
         assert!(TokenSlo::new(0.0, 0.05).validate().is_err());
         assert!(TokenSlo::new(0.5, f64::NAN).validate().is_err());
+    }
+
+    #[test]
+    fn new_rejects_zero_token_specs() {
+        for bad in [
+            TokenSpec {
+                prompt_tokens: 0,
+                output_tokens: 4,
+            },
+            TokenSpec {
+                prompt_tokens: 4,
+                output_tokens: 0,
+            },
+        ] {
+            let specs = vec![TokenSpec::unit(), bad, TokenSpec::unit()];
+            let err = TokenizedTrace::new(trace(3), specs).unwrap_err();
+            assert!(matches!(err, DbatError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("token spec 1"), "{err}");
+        }
+        assert!(validate_specs(&[TokenSpec::new(0, 0)]).is_ok());
     }
 }
